@@ -1,14 +1,15 @@
 """Common attack interface.
 
 Every attack -- the paper's sketch programs and all baselines -- exposes
-one method::
+one search, as a generator, and one call that drives it::
 
+    steps(image, true_class, budget=None) -> generator of queries
     attack(classifier, image, true_class, budget=None) -> AttackResult
 
 where ``classifier`` maps an (H, W, 3) image to a score vector and
 ``budget`` caps the number of queries.  This uniformity is what lets the
 evaluation harness sweep approaches for Figure 3 and Tables 1-2 with one
-code path.
+code path, and the serving layer run any of them as a session.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from repro.core.stepping import drive_steps
 
 Classifier = Callable[[np.ndarray], np.ndarray]
 
@@ -54,29 +57,22 @@ class AttackResult:
 class OnePixelAttack(abc.ABC):
     """Abstract base for all one-pixel attacks.
 
-    Two complementary entry points share one search implementation:
-
-    - :meth:`attack` -- the classic synchronous call used throughout the
-      evaluation harness;
-    - :meth:`steps` -- the same attack as a *generator* that yields
-      :class:`~repro.core.stepping.Query` objects and receives score
-      vectors, letting an external executor (e.g. the serving layer's
-      micro-batching broker) own the forward passes.
-
-    Attacks with incremental structure implement ``steps`` natively and
-    define ``attack`` as ``drive_steps(self.steps(...), classifier)``;
-    the default ``steps`` here adapts any remaining direct-call
-    ``attack`` via a helper thread, so *every* attack is steppable.
+    Subclasses implement :meth:`steps`, the attack as a *generator* that
+    yields :class:`~repro.core.stepping.Query` objects and receives score
+    vectors, so an external executor (e.g. the serving layer's
+    micro-batching broker) can own the forward passes.  :meth:`attack`
+    is the classic synchronous call used throughout the evaluation
+    harness; it drives :meth:`steps` against a plain classifier and is
+    never overridden.
     """
 
     #: Default speculation window for batch-native stepping.  ``None``
-    #: (the library default) keeps ``steps()`` on the legacy scalar
-    #: protocol; the serving layer and CLI opt into batching by passing
+    #: (the library default) keeps ``steps()`` on the scalar protocol;
+    #: the serving layer and CLI opt into batching by passing
     #: ``batch_size=`` explicitly or setting this attribute.  Attacks
-    #: without a native ``steps`` implementation ignore it.
+    #: whose generators never batch ignore it.
     batch_size: Optional[int] = None
 
-    @abc.abstractmethod
     def attack(
         self,
         classifier: Classifier,
@@ -91,7 +87,12 @@ class OnePixelAttack(abc.ABC):
         misclassification; a concrete target requires the classifier to
         output exactly that class.
         """
+        return drive_steps(
+            self.steps(image, true_class, budget=budget, target_class=target_class),
+            classifier,
+        )
 
+    @abc.abstractmethod
     def steps(
         self,
         image: np.ndarray,
@@ -104,22 +105,15 @@ class OnePixelAttack(abc.ABC):
 
         Yields :class:`~repro.core.stepping.Query`, expects the score
         vector via ``send``, and returns the :class:`AttackResult` as
-        the generator's return value.  Driven generators are
-        bit-identical to :meth:`attack` against the same classifier.
+        the generator's return value.
 
-        ``batch_size`` opts into batch-native stepping for attacks with
-        a native generator: ``None`` defers to :attr:`batch_size` on the
-        instance, ``0`` forces the scalar protocol, ``N > 0`` allows
-        speculative :class:`~repro.core.stepping.QueryBatch` yields of
-        up to ``N`` queries.  The threaded fallback here is inherently
-        scalar (one classifier call per yield), so it accepts and
-        ignores the argument.
+        ``batch_size`` opts into batch-native stepping: ``None`` defers
+        to :attr:`batch_size` on the instance, ``0`` forces the scalar
+        protocol, ``N > 0`` allows speculative
+        :class:`~repro.core.stepping.QueryBatch` yields of up to ``N``
+        queries.  Generators that only ever pose one query at a time
+        accept and ignore it.
         """
-        from repro.core.stepping import threaded_steps
-
-        return threaded_steps(
-            self, image, true_class, budget=budget, target_class=target_class
-        )
 
     @property
     def name(self) -> str:

@@ -22,9 +22,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackResult, Classifier, OnePixelAttack
-from repro.classifier.blackbox import CountingClassifier, QueryBudgetExceeded
+from repro.attacks.base import AttackResult, OnePixelAttack
+from repro.classifier.blackbox import QueryBudgetExceeded
 from repro.core.geometry import NUM_CORNERS, RGB_CORNERS
+from repro.core.stepping import AttackSteps, StepCounter
 
 
 @dataclass(frozen=True)
@@ -70,29 +71,35 @@ class SparseRS(OnePixelAttack):
     def name(self) -> str:
         return "Sparse-RS"
 
-    def attack(
+    def steps(
         self,
-        classifier: Classifier,
         image: np.ndarray,
         true_class: int,
         budget: Optional[int] = None,
         target_class: Optional[int] = None,
-    ) -> AttackResult:
+        batch_size: Optional[int] = None,
+    ) -> AttackSteps:
+        """The random search as a scalar generator.
+
+        Every candidate depends on whether the previous one was
+        accepted, so queries are posed one at a time and ``batch_size``
+        is accepted and ignored.
+        """
         self._validate(image)
         config = self.config
         rng = np.random.default_rng(config.seed)
-        counting = CountingClassifier(classifier, budget=budget)
+        counter = StepCounter(budget)
         d1, d2 = image.shape[:2]
 
         def query(location: Tuple[int, int], corner: int):
             perturbed = image.copy()
             perturbed[location[0], location[1]] = RGB_CORNERS[corner]
-            scores = counting(perturbed)
+            scores = yield counter.submit(perturbed)
             loss = margin(scores, true_class, target_class)
             if loss < 0:
                 return loss, AttackResult(
                     success=True,
-                    queries=counting.count,
+                    queries=counter.count,
                     location=location,
                     perturbation=RGB_CORNERS[corner],
                     adversarial_class=int(np.argmax(scores)),
@@ -102,7 +109,7 @@ class SparseRS(OnePixelAttack):
         try:
             location = (int(rng.integers(0, d1)), int(rng.integers(0, d2)))
             corner = int(rng.integers(0, NUM_CORNERS))
-            best_loss, result = query(location, corner)
+            best_loss, result = yield from query(location, corner)
             if result is not None:
                 return result
             for step in range(config.max_steps):
@@ -124,7 +131,7 @@ class SparseRS(OnePixelAttack):
                         candidate_corner = (candidate_corner + 1) % NUM_CORNERS
                 if candidate_location == location and candidate_corner == corner:
                     continue
-                loss, result = query(candidate_location, candidate_corner)
+                loss, result = yield from query(candidate_location, candidate_corner)
                 if result is not None:
                     return result
                 if loss <= best_loss:
@@ -133,4 +140,4 @@ class SparseRS(OnePixelAttack):
                     corner = candidate_corner
         except QueryBudgetExceeded:
             pass
-        return AttackResult(success=False, queries=counting.count)
+        return AttackResult(success=False, queries=counter.count)

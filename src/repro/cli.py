@@ -220,7 +220,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         freeze=args.freeze,
         checkpoint=store,
         base_seed=args.seed,
-        step_batch=0 if args.scalar_steps else args.step_batch,
+        step_batch=args.step_batch,
     )
     if run_log is not None:
         run_log.close()
@@ -415,13 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch-native stepping window: speculate up to N queries "
         "per vectorized forward pass (bit-identical results and query "
         "counts; 0 = scalar)",
-    )
-    attack.add_argument(
-        "--scalar-steps",
-        action="store_true",
-        help="drive attacks with the legacy one-query-at-a-time "
-        "protocol (equivalent to --step-batch 0; differential escape "
-        "hatch)",
     )
     _add_runtime_arguments(attack)
     attack.set_defaults(func=cmd_attack)

@@ -47,7 +47,6 @@ class ClusterConfig:
     max_threads: int = 16  # session-driver threads per worker
     rate: float = 50.0
     burst: float = 20.0
-    scalar_steps: bool = False  # pin workers to legacy scalar stepping
 
     # -- session lifecycle ---------------------------------------------
     #: Deadline applied to submissions that omit ``deadline_seconds``.
@@ -161,8 +160,6 @@ def worker_argv(
         argv.extend(["--dtype", config.dtype])
     if config.latency > 0:
         argv.extend(["--latency", str(config.latency)])
-    if config.scalar_steps:
-        argv.append("--scalar-steps")
     if shared_cache:
         argv.extend(["--shared-cache", shared_cache])
     if config.default_deadline is not None:

@@ -1168,11 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log", default=None, dest="log_path",
                         help="cluster_event JSONL telemetry file")
     parser.add_argument(
-        "--scalar-steps", action="store_true",
-        help="pin every worker to the legacy one-query-at-a-time "
-        "stepping protocol (bit-identical; differential escape hatch)",
-    )
-    parser.add_argument(
         "--default-deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock deadline applied by workers to submissions "
         "that omit deadline_seconds",

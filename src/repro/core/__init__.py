@@ -10,18 +10,12 @@ from repro.core.geometry import (
 from repro.core.pairs import Pair
 from repro.core.pairqueue import PairQueue
 from repro.core.sketch import OnePixelSketch, SketchResult
-from repro.core.stepping import (
-    Query,
-    StepCounter,
-    drive_steps,
-    threaded_steps,
-)
+from repro.core.stepping import Query, StepCounter, drive_steps
 
 __all__ = [
     "Query",
     "StepCounter",
     "drive_steps",
-    "threaded_steps",
     "RGB_CORNERS",
     "pixel_distance",
     "location_distance",

@@ -306,9 +306,8 @@ def attack_dataset(
         :func:`~repro.runtime.pool.task_seed` and verified on resume.
     step_batch:
         Batch-native stepping window applied to the attack (``None``
-        keeps the attack's own default, ``0`` pins the legacy scalar
-        protocol, ``N > 0`` speculates up to N queries per forward
-        pass).  Bit-identical results and query counts either way; the
+        keeps the attack's own default, ``0`` pins the scalar protocol,
+        ``N > 0`` speculates up to N queries per forward pass).  Bit-identical results and query counts either way; the
         win is latency, especially with ``freeze=True``.
     """
     cache_size = normalized_cache_size(cache_size)

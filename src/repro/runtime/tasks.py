@@ -92,7 +92,7 @@ class AttackTaskRunner:
     ``step_batch`` sets the attack's batch-native stepping window
     (:attr:`~repro.attacks.base.OnePixelAttack.batch_size`) inside the
     worker: ``None`` leaves the attack's own default, ``0`` pins the
-    legacy scalar protocol, ``N > 0`` speculates up to N queries per
+    scalar protocol, ``N > 0`` speculates up to N queries per
     vectorized forward pass.  Results are bit-identical either way.
     """
 

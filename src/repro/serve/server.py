@@ -101,10 +101,6 @@ class ServeConfig:
     checkpoint: Optional[str] = None  # durable session store for graceful drain
     resume: bool = False  # restore persisted sessions on startup
     latency: float = 0.0  # simulated per-image model seconds (benchmarks)
-    #: ``--scalar-steps``: pin sessions to the legacy one-query-at-a-time
-    #: protocol instead of batch-native stepping (bit-identical results
-    #: either way; this is the differential escape hatch).
-    scalar_steps: bool = False
     #: ``--shared-cache HOST:PORT``: wrap the private query cache in a
     #: :class:`~repro.runtime.cache.TieredQueryCache` pointed at a
     #: shared L2 cache service (:mod:`repro.cluster.cacheservice`).
@@ -226,9 +222,9 @@ class AttackServer:
             self.broker,
             max_workers=config.max_workers,
             run_log=self.run_log,
-            # Batch-native stepping by default: sessions speculate up to
-            # one broker batch per step.  0 pins the legacy scalar path.
-            step_batch=0 if config.scalar_steps else config.max_batch_size,
+            # Batch-native stepping: sessions speculate up to one broker
+            # batch per step.
+            step_batch=config.max_batch_size,
             session_ttl=config.session_ttl,
             idle_ttl=config.idle_ttl,
         )
@@ -849,13 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of a single process (same flags; see `repro cluster --help`)",
     )
     parser.add_argument(
-        "--scalar-steps",
-        action="store_true",
-        help="drive attacks with the legacy one-query-at-a-time stepping "
-        "protocol instead of batch-native QueryBatch stepping "
-        "(bit-identical results; differential escape hatch)",
-    )
-    parser.add_argument(
         "--shared-cache",
         nargs="?",
         const="auto",
@@ -976,7 +965,6 @@ def main(argv=None) -> int:
                 checkpoint=options["checkpoint"],
                 resume=options["resume"],
                 log_path=options["log_path"],
-                scalar_steps=options["scalar_steps"],
                 shared_cache=options["shared_cache"] is not None,
                 shared_cache_size=options["shared_cache_size"],
                 default_deadline=options["default_deadline"],

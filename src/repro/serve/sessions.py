@@ -275,8 +275,8 @@ class AttackSession:
         result bit-identical to a budget-``k`` scalar run that never
         succeeded (the fidelity invariant; differentially verified by
         :mod:`repro.testkit.lifecycle`).  A generator that does not
-        catch the unwind (the threaded fallback) simply terminates with
-        no result; :attr:`queries` still holds the boundary count.
+        catch the unwind simply terminates with no result;
+        :attr:`queries` still holds the boundary count.
         """
         if self.state not in (QUEUED, RUNNING):
             return
@@ -361,8 +361,7 @@ class SessionManager:
         self.broker = broker
         #: Default speculation window handed to new sessions: ``None``
         #: keeps the attacks' own (scalar) default, ``0`` pins the
-        #: legacy scalar protocol (``--scalar-steps``), ``N > 0`` turns
-        #: on batch-native stepping.
+        #: scalar protocol, ``N > 0`` turns on batch-native stepping.
         self.step_batch = step_batch
         self.run_log = ensure_log(run_log)
         self._lock = threading.Lock()

@@ -47,6 +47,7 @@ from repro.testkit.differential import (
     result_fingerprint,
     results_equal,
     tiny_network_classifier,
+    toy_baseline_runner,
     toy_runner,
 )
 from repro.testkit.faults import (
@@ -154,6 +155,7 @@ __all__ = [
     "summary_fingerprint",
     "tiered_broker_factory",
     "tiny_network_classifier",
+    "toy_baseline_runner",
     "toy_batch_runner",
     "toy_campaign",
     "toy_lifecycle_runner",

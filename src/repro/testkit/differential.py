@@ -5,8 +5,6 @@ The repo runs every attack through several supposedly equivalent paths:
 - ``direct``  -- the classic ``attack(classifier, ...)`` call;
 - ``stepped`` -- the generator protocol driven by
   :func:`~repro.core.stepping.drive_steps`;
-- ``threaded`` -- the :func:`~repro.core.stepping.threaded_steps`
-  adapter (attack on a helper thread, queries forwarded);
 - ``pooled``  -- the :class:`~repro.runtime.pool.WorkerPool` engine via
   :class:`~repro.runtime.tasks.AttackTaskRunner`;
 - ``served``  -- an :class:`~repro.serve.sessions.AttackSession` over a
@@ -30,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import AttackResult
-from repro.core.stepping import drive_steps, threaded_steps
+from repro.core.stepping import drive_steps
 from repro.runtime.cache import CachedClassifier, QueryCache
 from repro.runtime.pool import WorkerPool
 from repro.runtime.tasks import AttackTaskRunner
@@ -41,10 +39,9 @@ from repro.testkit.trace import TraceEvent, TraceRecorder, diff_events
 #: All execution paths the oracle knows how to drive.
 PATH_DIRECT = "direct"
 PATH_STEPPED = "stepped"
-PATH_THREADED = "threaded"
 PATH_POOLED = "pooled"
 PATH_SERVED = "served"
-DEFAULT_PATHS = (PATH_DIRECT, PATH_STEPPED, PATH_THREADED, PATH_POOLED, PATH_SERVED)
+DEFAULT_PATHS = (PATH_DIRECT, PATH_STEPPED, PATH_POOLED, PATH_SERVED)
 
 #: Default in-cell query cache size (big enough never to evict in tests,
 #: so cached cells exercise hits rather than churn).
@@ -176,7 +173,7 @@ class DifferentialRunner:
     budget:
         Query budget applied in every cell.
     paths / cache_modes:
-        The grid axes; defaults cover all five paths, cache off and on.
+        The grid axes; defaults cover all four paths, cache off and on.
     pool_workers:
         Worker processes for the ``pooled`` path.  The default ``0``
         runs the engine inline (same code path minus process transport)
@@ -239,7 +236,7 @@ class DifferentialRunner:
         if cell.path == PATH_SERVED:
             return self._run_served(cell, attack, classifier, image, true_class)
 
-        if cell.cached and cell.path in (PATH_DIRECT, PATH_STEPPED, PATH_THREADED):
+        if cell.cached and cell.path in (PATH_DIRECT, PATH_STEPPED):
             # inside the attack's counting boundary, like the engine does
             classifier = CachedClassifier(classifier, maxsize=self.cache_size)
 
@@ -249,12 +246,6 @@ class DifferentialRunner:
         elif cell.path == PATH_STEPPED:
             result = drive_steps(
                 attack.steps(image, true_class, budget=self.budget),
-                classifier,
-                observer=recorder,
-            )
-        elif cell.path == PATH_THREADED:
-            result = drive_steps(
-                threaded_steps(attack, image, true_class, budget=self.budget),
                 classifier,
                 observer=recorder,
             )
@@ -377,9 +368,41 @@ def toy_runner(
     and an RNG-driven query stream.  Any keyword argument of
     :class:`DifferentialRunner` can be overridden.
     """
-    from repro.classifier.toy import LinearPixelClassifier, make_toy_images
+    return _toy_sweep(
+        _alternating_attack_factory(), seeds, budget, shape, num_classes, **kwargs
+    )
 
-    attack_factory = _alternating_attack_factory()
+
+def toy_baseline_runner(
+    seeds: Iterable[int] = range(20),
+    budget: int = 40,
+    shape: Tuple[int, int, int] = (5, 5, 3),
+    num_classes: int = 3,
+    **kwargs,
+) -> DifferentialRunner:
+    """The :func:`toy_runner` sweep over the score-driven baselines.
+
+    Alternates seeded Sparse-RS (even seeds) with seeded CornerSearch
+    (odd seeds) on the same toy images and classifier, so the two
+    random-search generators get the same path x cache coverage as the
+    sketch.  Any keyword argument of :class:`DifferentialRunner` can be
+    overridden.
+    """
+    from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
+    from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
+
+    def attack_factory(seed: int):
+        if seed % 2 == 0:
+            return SparseRS(SparseRSConfig(seed=seed))
+        return CornerSearch(CornerSearchConfig(seed=seed))
+
+    return _toy_sweep(attack_factory, seeds, budget, shape, num_classes, **kwargs)
+
+
+def _toy_sweep(attack_factory, seeds, budget, shape, num_classes, **kwargs):
+    """A :class:`DifferentialRunner` over smooth toy images classified by
+    a fragile linear classifier, the true class being its prediction."""
+    from repro.classifier.toy import LinearPixelClassifier, make_toy_images
 
     def classifier_factory(seed: int):
         return LinearPixelClassifier(

@@ -10,12 +10,13 @@ paper measures.
 import numpy as np
 import pytest
 
+from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
 from repro.attacks.fixed_sketch import FixedSketchAttack
 from repro.attacks.random_search import UniformRandomAttack, UniformRandomConfig
 from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.attacks.su_opa import SuOPA, SuOPAConfig
 from repro.classifier.blackbox import QueryBudgetExceeded
-from repro.core.stepping import Query, StepCounter, drive_steps, threaded_steps
+from repro.core.stepping import Query, StepCounter, drive_steps
 
 
 @pytest.fixture
@@ -29,6 +30,7 @@ def _attacks():
         UniformRandomAttack(UniformRandomConfig(seed=3)),
         SuOPA(SuOPAConfig(population_size=6, max_generations=3, seed=3)),
         SparseRS(SparseRSConfig(max_steps=40, seed=3)),
+        CornerSearch(CornerSearchConfig(seed=3)),
     ]
 
 
@@ -110,26 +112,3 @@ class TestDriveEquivalence:
         assert not result.success
         assert result.queries == 0
 
-
-class TestThreadedFallback:
-    """Attacks without a native steps() use the threaded channel."""
-
-    def test_threaded_steps_equivalence(self, linear_classifier, image):
-        attack = FixedSketchAttack()
-        true_class = int(np.argmax(linear_classifier(image)))
-        direct = attack.attack(linear_classifier, image, true_class, budget=200)
-        stepped = drive_steps(
-            threaded_steps(attack, image, true_class, budget=200),
-            linear_classifier,
-        )
-        assert stepped.success == direct.success
-        assert stepped.queries == direct.queries
-
-    def test_early_close_does_not_hang(self, linear_classifier, image):
-        true_class = int(np.argmax(linear_classifier(image)))
-        steps = threaded_steps(
-            UniformRandomAttack(), image, true_class, budget=10000
-        )
-        request = next(steps)
-        steps.send(linear_classifier(request.image))
-        steps.close()  # must terminate the backing thread, not deadlock

@@ -26,8 +26,6 @@ from repro.core.stepping import (
     StepCounter,
     drive_steps,
     resolve_batch_window,
-    scalar_steps_forced,
-    set_scalar_steps,
 )
 from repro.serve.broker import BrokerStopped, MicroBatchBroker
 from repro.serve.sessions import SessionManager
@@ -75,22 +73,6 @@ class TestProtocolPrimitives:
         assert resolve_batch_window(7) == 7
         with pytest.raises(ValueError):
             resolve_batch_window(-1)
-
-    def test_scalar_override_forces_zero_window(self):
-        previous = set_scalar_steps(True)
-        try:
-            assert scalar_steps_forced()
-            assert resolve_batch_window(8) == 0
-        finally:
-            set_scalar_steps(previous)
-        assert not scalar_steps_forced()
-
-    def test_scalar_override_returns_previous(self):
-        assert set_scalar_steps(True) is False
-        try:
-            assert set_scalar_steps(True) is True
-        finally:
-            set_scalar_steps(False)
 
     def test_query_batch_note_drives_observer(self):
         queries = tuple(Query(np.full((2, 2, 3), v)) for v in (0.1, 0.2))
@@ -180,23 +162,6 @@ class TestBatchedEquivalence:
             linear_classifier, image, true_class, budget=100
         )
         assert result_fingerprint(batched) == result_fingerprint(scalar)
-
-    def test_scalar_override_suppresses_batches(self, linear_classifier, image):
-        true_class = int(np.argmax(linear_classifier(image)))
-        previous = set_scalar_steps(True)
-        try:
-            steps = FixedSketchAttack().steps(
-                image, true_class, budget=50, batch_size=8
-            )
-            request = next(steps)
-            try:
-                while True:
-                    assert isinstance(request, Query)  # never a QueryBatch
-                    request = steps.send(linear_classifier(request.image))
-            except StopIteration:
-                pass
-        finally:
-            set_scalar_steps(previous)
 
 
 class TestSketchSpeculation:

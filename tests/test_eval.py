@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.attacks.base import AttackResult
+from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.attacks.fixed_sketch import FixedSketchAttack
 from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.core.dsl.ast import Program
+from repro.core.stepping import Query, StepCounter
 from repro.eval.ablation import ablation_table
 from repro.eval.reporting import (
     format_ablation,
@@ -77,23 +78,22 @@ class TestAttackRunSummary:
             assert result.queries <= 60
 
 
-class _BudgetLeakingAttack:
+class _BudgetLeakingAttack(OnePixelAttack):
     """A non-compliant attack that lets QueryBudgetExceeded escape.
 
-    Compliant attacks wrap the classifier in their own
-    ``CountingClassifier`` and catch the exhaustion signal; this one
-    hammers the classifier raw until the caller-supplied cap trips, the
-    failure mode the dataset runner must degrade gracefully around.
+    Compliant attacks count with their own ``StepCounter`` and catch the
+    exhaustion signal; this one queries until the caller-supplied cap
+    trips, the failure mode the dataset runner must degrade gracefully
+    around.
     """
 
     name = "BudgetLeaker"
 
-    def attack(self, classifier, image, true_class, budget=None, target_class=None):
-        from repro.classifier.blackbox import CountingClassifier
-
-        counting = CountingClassifier(classifier, budget=budget)
+    def steps(self, image, true_class, budget=None, target_class=None,
+              batch_size=None):
+        counter = StepCounter(budget)
         while True:  # no exception handling on purpose
-            counting(image)
+            yield counter.submit(image)
 
 
 class TestBudgetExhaustionGracefulness:
@@ -119,15 +119,15 @@ class TestBudgetExhaustionGracefulness:
     def test_unbudgeted_escape_uses_exception_budget(self, linear_classifier):
         """Without a caller budget the degraded result reports the
         budget the exception itself carried."""
-        from repro.attacks.base import AttackResult
         from repro.classifier.blackbox import QueryBudgetExceeded
         from repro.runtime.tasks import run_single_attack
 
-        class _Raises:
+        class _Raises(OnePixelAttack):
             name = "Raises"
 
-            def attack(self, classifier, image, true_class, budget=None,
-                       target_class=None):
+            def steps(self, image, true_class, budget=None,
+                      target_class=None, batch_size=None):
+                yield Query(image)
                 raise QueryBudgetExceeded(17)
 
         result = run_single_attack(

@@ -13,6 +13,7 @@ import pytest
 from repro.attacks.fixed_sketch import FixedSketchAttack
 from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.attacks.base import AttackResult, OnePixelAttack
+from repro.core.stepping import StepCounter
 from repro.classifier.toy import LinearPixelClassifier, make_toy_images
 from repro.core.dsl.printer import format_program
 from repro.core.synthesis.oppsla import Oppsla, OppslaConfig
@@ -73,10 +74,11 @@ class _HangingAttack(OnePixelAttack):
     def __init__(self, hang_class):
         self.hang_class = hang_class
 
-    def attack(self, classifier, image, true_class, budget=None, target_class=None):
+    def steps(self, image, true_class, budget=None, target_class=None,
+              batch_size=None):
         if true_class == self.hang_class:
             time.sleep(60)
-        classifier(image)
+        yield StepCounter(budget).submit(image)
         return AttackResult(success=False, queries=1)
 
 

@@ -19,6 +19,7 @@ from repro.testkit.differential import (
     network_runner,
     result_fingerprint,
     results_equal,
+    toy_baseline_runner,
     toy_runner,
 )
 
@@ -64,7 +65,7 @@ class TestRunnerValidation:
 
 class TestAcceptanceSweep:
     def test_full_sweep_is_divergence_free(self):
-        """The acceptance criterion: >=20 seeds x all 5 paths x cache
+        """The acceptance criterion: >=20 seeds x every path x cache
         on/off, zero divergences, bit-identical results everywhere."""
         runner = toy_runner(seeds=range(20))
         report = runner.run()
@@ -72,6 +73,37 @@ class TestAcceptanceSweep:
         expected = 20 * len(DEFAULT_PATHS) * 2
         assert report.cells_run == expected
         assert "zero divergences" in report.describe()
+
+
+class TestBaselineSweep:
+    """Sparse-RS and CornerSearch through the same grid as the sketch."""
+
+    def test_full_sweep_is_divergence_free(self):
+        runner = toy_baseline_runner(seeds=range(20))
+        report = runner.run()
+        assert report.ok, report.describe()
+        assert report.cells_run == 20 * len(DEFAULT_PATHS) * 2
+        # not vacuous: both attacks both win and run out of budget
+        outcomes = {
+            (type(runner.attack_factory(seed)).__name__, result.success)
+            for seed in range(20)
+            for result in [runner.run_cell(Cell(seed, "stepped", False))[0]]
+        }
+        assert outcomes == {
+            ("SparseRS", True), ("SparseRS", False),
+            ("CornerSearch", True), ("CornerSearch", False),
+        }
+
+    def test_lagged_broker_is_caught(self):
+        report = toy_baseline_runner(
+            seeds=range(4),
+            paths=("served",),
+            cache_modes=(False,),
+            broker_factory=lambda classifier, cache: _LaggedBroker(
+                classifier, cache=cache
+            ),
+        ).run()
+        assert not report.ok, "the oracle must catch a misrouting broker"
 
 
 class TestNetworkSweep:
@@ -101,8 +133,8 @@ class TestNetworkSweep:
 
     @pytest.mark.slow
     def test_frozen_acceptance_sweep(self):
-        """Nightly-scale frozen sweep: 20 seeds x 5 paths x cache on/off,
-        all bit-identical to each other under the fast path."""
+        """Nightly-scale frozen sweep: 20 seeds x every path x cache
+        on/off, all bit-identical to each other under the fast path."""
         report = network_runner(seeds=range(20), frozen=True).run()
         assert report.ok, report.describe()
         assert report.cells_run == 20 * len(DEFAULT_PATHS) * 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.testkit.lifecycle import (
     FlightDroppingBroker,
     LifecycleCell,
@@ -56,6 +57,44 @@ class TestSweep:
         report = runner.run()
         assert not report.ok
         assert "diverged" in report.describe()
+
+
+class TestSparseRSParks:
+    """A parked Sparse-RS session carries its budget-k result.
+
+    Sparse-RS never wins on the hard seeds, so every park boundary is
+    reachable; a session that dropped the unwind would park with no
+    result and diverge from its budget-k golden in every cell.
+    """
+
+    def _runner(self, seeds):
+        toy = toy_lifecycle_runner(seeds=seeds)
+        return LifecycleEquivalenceRunner(
+            lambda seed: SparseRS(SparseRSConfig(seed=seed)),
+            toy.classifier_factory,
+            toy.case_factory,
+            seeds=seeds,
+            budget=toy.budget,
+        )
+
+    def test_sweep_is_clean(self):
+        report = self._runner((1, 8, 20, 26)).run()
+        assert report.ok, report.describe()
+        assert report.cells_run == 4 * 2 * 2 * 2
+
+    @pytest.mark.parametrize("kind, state", [
+        ("cancel", "cancelled"), ("expire", "expired"),
+    ])
+    def test_parked_result_is_the_budget_k_result(self, kind, state):
+        runner = self._runner((20,))
+        parked = runner.run_parked(LifecycleCell(
+            seed=20, path="broker", batched=False, kind=kind, k_target=15
+        ))
+        assert parked.state == state
+        assert parked.queries == 15
+        golden = runner.run_golden(20, 15).result
+        assert parked.result == golden
+        assert not golden.success and golden.queries == 15
 
 
 @pytest.mark.slow
